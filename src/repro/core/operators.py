@@ -39,6 +39,7 @@ from repro.timely.engine import (
     OperatorInstance,
     Probe,
     Simulation,
+    frontier_min,
 )
 from repro.timely.notificator import Notificator
 
@@ -235,63 +236,73 @@ class _FInstance(OperatorInstance):
         ends = np.append(starts[1:], len(order))
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
         for w, lo, hi in zip(uniq, starts, ends):
-            idx = order[lo:hi]
-            sub = Batch(
-                time=batch.time,
-                data=mo.take_fn(batch.data, idx),
-                arrivals=None if batch.arrivals is None else batch.arrivals[idx],
-                nbytes=per_rec_bytes * (hi - lo),
-            )
+            sub = batch.take(mo.take_fn, order[lo:hi], per_rec_bytes * (hi - lo))
             ctx.send(mo.data_out_ch, int(w), sub)
 
 
-class _SInstance(OperatorInstance):
-    def __init__(self, owner: "MigratableOperator", worker: int):
-        self.mo = owner
+class _StatefulInstance(OperatorInstance):
+    """One worker's logic L and its pending records: the state host that S
+    and the native operator share (paper §4.1). Pending records wait in the
+    notificator, which holds the output frontier back until they apply."""
+
+    def __init__(self, owner: "MigratableOperator | NativeOperator", worker: int):
+        self.owner = owner
         self.logic = owner.logic_factory(worker)
         self.notif = Notificator()
-        self._last_maintained_tick = -1
 
     def held_times(self) -> list[int]:
         t = self.notif.min_time()
         return [] if t is None else [t]
 
+    def _enqueue(self, ch: Channel) -> bool:
+        got = ch.take(self.worker)
+        for db in got:
+            self.notif.notify_at(db.time, db)
+        return bool(got)
+
+    def _apply_ripe(self, ctx: Ctx, gate: Optional[float]) -> bool:
+        """Apply pending batches not in advance of ``gate``, one merged
+        batch per timestamp in time order; post-dated records re-enter the
+        notificator."""
+        o = self.owner
+        by_time: dict[int, list[Batch]] = {}
+        for t, batch in self.notif.ripe(gate):
+            by_time.setdefault(t, []).append(batch)
+        for t in sorted(by_time):
+            batch = _merge_batches(by_time[t], o.concat_fn)
+            if o.authority is not None:
+                keys = o.key_fn(batch.data)
+                o.authority.check(t, o.bin_fn(keys), self.worker)
+            self.logic.apply(t, batch.data)
+            ctx.charge(len(batch) * o.c_record)
+            if batch.arrivals is not None:
+                ctx.record_latency(batch.arrivals)
+            for pt, pdata in self.logic.take_postdated():
+                assert pt > t, f"post-dated record at {pt} not after {t}"
+                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
+        return bool(by_time)
+
+
+class _SInstance(_StatefulInstance):
+    def __init__(self, owner: "MigratableOperator", worker: int):
+        super().__init__(owner, worker)
+        self._last_maintained_tick = -1
+
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records."""
+        mo = self.owner
         payload, nbytes = self.logic.extract_bin(b)
         keep, moved = Notificator(), []
         for t, batch in self.notif.drain_all():
-            keys = self.mo.key_fn(batch.data)
-            mask = self.mo.bin_fn(keys) == b
-            if mask.any():
-                idx = np.nonzero(mask)[0]
-                moved.append(
-                    (
-                        t,
-                        Batch(
-                            time=batch.time,
-                            data=self.mo.take_fn(batch.data, idx),
-                            arrivals=None
-                            if batch.arrivals is None
-                            else batch.arrivals[idx],
-                        ),
-                    )
-                )
-                rest = np.nonzero(~mask)[0]
-                if len(rest):
-                    keep.notify_at(
-                        t,
-                        Batch(
-                            time=batch.time,
-                            data=self.mo.take_fn(batch.data, rest),
-                            arrivals=None
-                            if batch.arrivals is None
-                            else batch.arrivals[rest],
-                        ),
-                    )
-            else:
+            mask = mo.bin_fn(mo.key_fn(batch.data)) == b
+            if not mask.any():
                 keep.notify_at(t, batch)
+                continue
+            moved.append((t, batch.take(mo.take_fn, np.nonzero(mask)[0])))
+            rest = np.nonzero(~mask)[0]
+            if len(rest):
+                keep.notify_at(t, batch.take(mo.take_fn, rest))
         self.notif = keep
         # NOTE: sender-side state bytes are *not* released here — the
         # serialised copy queues on the NIC and the original allocation is
@@ -300,7 +311,7 @@ class _SInstance(OperatorInstance):
         return payload, nbytes, moved
 
     def schedule(self, ctx: Ctx) -> bool:
-        mo, sim = self.mo, ctx.sim
+        mo, sim = self.owner, ctx.sim
         # fast path: no queued input and no ripe pending work
         if (
             not mo.state_ch.queues[self.worker]
@@ -327,31 +338,10 @@ class _SInstance(OperatorInstance):
             sim.state_bytes[sim.cost.process_of(self.worker)] += sb.nbytes
             did = True
         # 2. enqueue data
-        for db in mo.data_out_ch.take(self.worker):
-            self.notif.notify_at(db.time, db)
-            did = True
+        did |= self._enqueue(mo.data_out_ch)
         # 3. apply ripe batches in timestamp order
-        gate = None
-        for ch in (mo.data_out_ch, mo.state_ch):
-            f = ch.arrive_frontier
-            if f is not None:
-                gate = f if gate is None else min(gate, f)
-        by_time: dict[int, list[Batch]] = {}
-        for t, batch in self.notif.ripe(gate):
-            by_time.setdefault(t, []).append(batch)
-        for t in sorted(by_time):
-            batch = _merge_batches(by_time[t], mo.concat_fn)
-            if mo.authority is not None:
-                keys = mo.key_fn(batch.data)
-                mo.authority.check(t, mo.bin_fn(keys), self.worker)
-            self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * mo.c_record)
-            if batch.arrivals is not None:
-                ctx.record_latency(batch.arrivals)
-            for pt, pdata in self.logic.take_postdated():
-                assert pt > t, f"post-dated record at {pt} not after {t}"
-                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
-            did = True
+        gate = frontier_min(mo.data_out_ch.arrive_frontier, mo.state_ch.arrive_frontier)
+        did |= self._apply_ripe(ctx, gate)
         # 4. per-iteration maintenance: scan of local bins / routing state
         if did and sim.tick_index != self._last_maintained_tick:
             self._last_maintained_tick = sim.tick_index
@@ -403,45 +393,19 @@ class MigratableOperator:
         self.s_op.add_instances(lambda w: _SInstance(self, w))
         self.probe = Probe(self.s_op)
 
-    def s_instance(self, worker: int) -> _SInstance:
-        return self.s_op.instances[worker]
 
-
-class _NativeInstance(OperatorInstance):
-    def __init__(self, owner: "NativeOperator", worker: int):
-        self.no = owner
-        self.logic = owner.logic_factory(worker)
-        self.notif = Notificator()
-
-    def held_times(self) -> list[int]:
-        t = self.notif.min_time()
-        return [] if t is None else [t]
-
+class _NativeInstance(_StatefulInstance):
     def schedule(self, ctx: Ctx) -> bool:
-        did = False
-        for db in self.no.data_ch.take(self.worker):
-            self.notif.notify_at(db.time, db)
-            did = True
-        gate = self.no.data_ch.arrive_frontier
-        by_time: dict[int, list[Batch]] = {}
-        for t, batch in self.notif.ripe(gate):
-            by_time.setdefault(t, []).append(batch)
-        for t in sorted(by_time):
-            batch = _merge_batches(by_time[t], self.no.concat_fn)
-            self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * self.no.c_record)
-            if batch.arrivals is not None:
-                ctx.record_latency(batch.arrivals)
-            for pt, pdata in self.logic.take_postdated():
-                assert pt > t, f"post-dated record at {pt} not after {t}"
-                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
-            did = True
+        did = self._enqueue(self.owner.data_ch)
+        did |= self._apply_ripe(ctx, self.owner.data_ch.arrive_frontier)
         return did
 
 
 class NativeOperator:
     """Hand-partitioned baseline stateful operator: no bins, no control
     stream, no migration capability (the paper's "Native" rows)."""
+
+    authority = None  # no configuration to check records against
 
     def __init__(
         self,

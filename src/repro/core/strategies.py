@@ -124,18 +124,16 @@ class MigrationDriver:
         probe: Probe,
         *,
         authority: Optional[ConfigAuthority] = None,
-        control_worker: int = 0,
-        gap_ticks: int = 0,
     ):
         self.sim = sim
         self.control = control_input
         self.probe = probe
         self.authority = authority
-        self.control_worker = control_worker
-        self.gap_ticks = gap_ticks
-        self.queue: list[tuple[float, str, list[list[tuple[int, int]]]]] = []
+        # pending migrations in request-time order: (at_s, record, steps, gap)
+        self.queue: list[tuple[float, MigrationRecord, list, int]] = []
         self.active: Optional[MigrationRecord] = None
         self._steps: list[list[tuple[int, int]]] = []
+        self._gap_ticks = 0
         self._last_step_time: Optional[int] = None
         self._gap_left = 0
         self.records: list[MigrationRecord] = []
@@ -149,7 +147,10 @@ class MigrationDriver:
         *,
         batch_size: Optional[int] = None,
         assignment: Optional[np.ndarray] = None,
+        gap_ticks: int = 0,
     ) -> MigrationRecord:
+        """Queue a migration at ``at_s``; ``gap_ticks`` idle ticks separate
+        its steps once each has completed."""
         steps = plan_steps(
             moves, strategy, batch_size=batch_size, assignment=assignment
         )
@@ -159,23 +160,17 @@ class MigrationDriver:
             steps_total=len(steps),
             moves_total=len(moves),
         )
-        self.queue.append((at_s, strategy, steps))
+        self.queue.append((at_s, rec, steps, gap_ticks))
         self.queue.sort(key=lambda x: x[0])
         self.records.append(rec)
         return rec
-
-    def _rec_for(self, steps: list) -> MigrationRecord:
-        done = sum(1 for r in self.records if r.completed_s is not None)
-        return self.records[done]
 
     def on_tick(self, sim: Simulation, t0: float) -> None:
         if self.control.epoch is None:  # input closed (drain): nothing to drive
             return
         t_ns = int(round(t0 * 1e9))
         if self.active is None and self.queue and t0 >= self.queue[0][0] - 1e-12:
-            _, strategy, steps = self.queue.pop(0)
-            self.active = self._rec_for(steps)
-            self._steps = steps
+            _, self.active, self._steps, self._gap_ticks = self.queue.pop(0)
             self._last_step_time = None
             self._gap_left = 0
             sim.latency_windows.append(self.active.window)
@@ -191,14 +186,13 @@ class MigrationDriver:
                 updates = [ControlUpdate(t_ns, b, w) for b, w in step]
                 if self.authority is not None:
                     self.authority.register(updates)
-                self.control.send(
-                    self.control_worker, Batch(time=t_ns, data=updates, nbytes=64.0)
-                )
+                # worker 0's F consumes the control stream for every F instance
+                self.control.send(0, Batch(time=t_ns, data=updates, nbytes=64.0))
                 if rec.started_s is None:
                     rec.started_s = t0
                 rec.steps_issued += 1
                 self._last_step_time = t_ns
-                self._gap_left = self.gap_ticks
+                self._gap_left = self._gap_ticks
             elif prev_done and rec.steps_issued == rec.steps_total:
                 rec.completed_s = self.sim.now
                 sim.latency_windows.remove(rec.window)

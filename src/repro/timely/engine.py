@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
-from repro.timely.order import frontier_min
 
 
 @dataclass(eq=False)
@@ -62,6 +61,27 @@ class Batch:
             return len(self.data)
         except TypeError:
             return 1
+
+    def take(self, take_fn: Callable, idx, nbytes: float = 0.0) -> "Batch":
+        """The records at positions ``idx``, cut from ``data`` by ``take_fn``."""
+        return Batch(
+            time=self.time,
+            data=take_fn(self.data, idx),
+            arrivals=None if self.arrivals is None else self.arrivals[idx],
+            nbytes=nbytes,
+        )
+
+
+def frontier_min(*candidates: Optional[float]) -> Optional[float]:
+    """Minimum of integer frontiers where ``None`` means closed/empty.
+
+    Timestamps are totally ordered integers, so a frontier (an antichain,
+    paper Definition 1) has at most one element: its minimum. A closed input
+    contributes nothing; if every candidate is closed the result is closed
+    (None).
+    """
+    live = [c for c in candidates if c is not None]
+    return min(live) if live else None
 
 
 @dataclass(order=True)
@@ -94,9 +114,6 @@ class _TimeSet:
         while self._heap and self._counts.get(self._heap[0], 0) == 0:
             heapq.heappop(self._heap)
         return self._heap[0] if self._heap else None
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
 
 
 class Channel:
@@ -356,9 +373,6 @@ class Simulation:
                 ch.arrive_frontier = frontier_min(
                     op.could_produce, ch.undelivered.min()
                 )
-
-    def channel_frontier(self, ch: Channel) -> Optional[float]:
-        return ch.gate_frontier
 
     # -- main loop ---------------------------------------------------------
     def step_tick(self) -> None:

@@ -14,6 +14,7 @@ from repro.timely.engine import (
     Simulation,
     _Nic,
     _TimeSet,
+    frontier_min,
 )
 
 
@@ -87,11 +88,15 @@ class TestTimeSet:
         ts.remove(5)
         assert ts.min() is None
 
-    def test_len(self):
-        ts = _TimeSet()
-        ts.add(1)
-        ts.add(1)
-        assert len(ts) == 2
+
+class TestFrontierMin:
+    def test_plain_min(self):
+        assert frontier_min(3, 5) == 3
+
+    def test_none_is_closed(self):
+        assert frontier_min(None, 5) == 5
+        assert frontier_min(None, None) is None
+        assert frontier_min() is None
 
 
 class TestNic:

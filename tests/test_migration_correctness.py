@@ -98,6 +98,23 @@ class TestOptimizedStrategy:
         assert_counts_correct(run)
 
 
+class TestOutOfOrderSchedule:
+    def test_migrations_requested_out_of_time_order(self):
+        run = quick_run(
+            migrations=[
+                {"at_s": 1.2, "moves": "rebalance", "strategy": "fluid"},
+                {"at_s": 0.4, "moves": "imbalance", "strategy": "all_at_once"},
+            ]
+        )
+        assert_counts_correct(run)
+        late, early = run.migrations
+        assert (late.strategy, early.strategy) == ("fluid", "all_at_once")
+        assert late.steps_issued == late.steps_total
+        assert early.steps_issued == early.steps_total
+        assert 0.4 <= early.started_s <= early.completed_s
+        assert early.completed_s <= 1.2 <= late.started_s <= late.completed_s
+
+
 class TestInitialImbalanced:
     def test_rebalance_from_imbalanced(self):
         run = quick_run(
