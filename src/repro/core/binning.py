@@ -7,7 +7,8 @@ fixed at startup.
 
 Two assignments are provided:
 
-* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme);
+* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme), with
+  ``bin_of_key`` its scalar form for one key;
 * ``range_bin_of_keys`` — contiguous range partitioning of a dense integer
   key domain, used by the dense-array ("key count") workload so a bin's
   state is a contiguous array slice. Both are static key equivalence
@@ -18,15 +19,29 @@ from __future__ import annotations
 import numpy as np
 
 
+# splitmix64 finaliser constants
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def hash_keys(keys: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over int keys (returns uint64)."""
-    z = keys.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-    return z
+    """Vectorised splitmix64 finaliser over int keys (returns uint64).
+
+    The steps run in place on a 1-d copy: uint64 array arithmetic wraps
+    silently, whereas NumPy's scalar path (a 0-d input) warns on overflow.
+    """
+    z = np.asarray(keys).astype(np.uint64).reshape(-1)
+    z += _U_GOLDEN
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z.reshape(np.shape(keys))
 
 
 def bin_of_keys(keys: np.ndarray, n_bins: int) -> np.ndarray:
@@ -36,8 +51,21 @@ def bin_of_keys(keys: np.ndarray, n_bins: int) -> np.ndarray:
     )
     if n_bins == 1:
         return np.zeros(len(keys), dtype=np.int64)
-    shift = np.uint64(64 - (int(n_bins).bit_length() - 1))
-    return (hash_keys(keys) >> shift).astype(np.int64)
+    h = hash_keys(keys)
+    h >>= np.uint64(65 - int(n_bins).bit_length())
+    return h.view(np.int64)  # the shift cleared the sign bit
+
+
+def bin_of_key(key: int, n_bins: int) -> int:
+    """``bin_of_keys`` for one Python int key, in pure-Python arithmetic
+    (per-record binning in the NEXMark query bodies)."""
+    assert n_bins >= 1 and n_bins & (n_bins - 1) == 0, (
+        "bin count must be a power of two"
+    )
+    z = (key + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return (z ^ (z >> 31)) >> (65 - n_bins.bit_length())
 
 
 def range_bin_of_keys(keys: np.ndarray, n_bins: int, domain: int) -> np.ndarray:

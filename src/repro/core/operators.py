@@ -230,14 +230,16 @@ class _FInstance(OperatorInstance):
         bins = mo.bin_fn(keys)
         workers = mo.shared.routing.lookup(batch.time, bins)
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
+        # one sub-batch per destination, in ascending worker order
         order = np.argsort(workers, kind="stable")
-        dest_sorted = workers[order]
-        uniq, starts = np.unique(dest_sorted, return_index=True)
-        ends = np.append(starts[1:], len(order))
+        counts = np.bincount(workers, minlength=ctx.sim.workers).tolist()
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
-        for w, lo, hi in zip(uniq, starts, ends):
-            sub = batch.take(mo.take_fn, order[lo:hi], per_rec_bytes * (hi - lo))
-            ctx.send(mo.data_out_ch, int(w), sub)
+        hi = 0
+        for w, n in enumerate(counts):
+            if n:
+                lo, hi = hi, hi + n
+                sub = batch.take(mo.take_fn, order[lo:hi], per_rec_bytes * n)
+                ctx.send(mo.data_out_ch, w, sub)
 
 
 class _StatefulInstance(OperatorInstance):
@@ -291,11 +293,23 @@ class _SInstance(_StatefulInstance):
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records."""
+        # NOTE: sender-side state bytes are *not* released here — the
+        # serialised copy queues on the NIC and the original allocation is
+        # only returned once the transfer completes (this is the paper's
+        # Fig 20 all-at-once memory spike); release happens at install time.
         mo = self.owner
         payload, nbytes = self.logic.extract_bin(b)
+        pending = self.notif.drain_all()
         keep, moved = Notificator(), []
-        for t, batch in self.notif.drain_all():
-            mask = mo.bin_fn(mo.key_fn(batch.data)) == b
+        self.notif = keep
+        if not pending:
+            return payload, nbytes, moved
+        # one binning call over all pending records, split back per batch
+        keys = [mo.key_fn(batch.data) for _, batch in pending]
+        in_bin = mo.bin_fn(np.concatenate(keys)) == b
+        ends = np.cumsum([len(k) for k in keys]).tolist()
+        for (t, batch), lo, hi in zip(pending, [0] + ends, ends):
+            mask = in_bin[lo:hi]
             if not mask.any():
                 keep.notify_at(t, batch)
                 continue
@@ -303,11 +317,6 @@ class _SInstance(_StatefulInstance):
             rest = np.nonzero(~mask)[0]
             if len(rest):
                 keep.notify_at(t, batch.take(mo.take_fn, rest))
-        self.notif = keep
-        # NOTE: sender-side state bytes are *not* released here — the
-        # serialised copy queues on the NIC and the original allocation is
-        # only returned once the transfer completes (this is the paper's
-        # Fig 20 all-at-once memory spike); release happens at install time.
         return payload, nbytes, moved
 
     def schedule(self, ctx: Ctx) -> bool:

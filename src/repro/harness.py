@@ -37,11 +37,25 @@ LIMIT_S = 600.0  # simulated seconds to wait for migrations, and for the drain
 
 
 def resolve_moves(moves, n_bins: int, workers: int) -> list[tuple[int, int]]:
-    """A migration's ``moves``: "imbalance", "rebalance" or explicit pairs."""
+    """A migration's ``moves``: "imbalance", "rebalance" or explicit
+    ``(bin, worker)`` pairs. Raises ValueError for a bin outside
+    ``[0, n_bins)``, a worker outside ``[0, workers)`` or a bin that moves
+    twice."""
     if moves == "imbalance":
         return migration_moves(n_bins, workers)
     if moves == "rebalance":
         return rebalance_moves(n_bins, workers)
+    seen: set[int] = set()
+    for b, w in moves:
+        if not 0 <= b < n_bins:
+            raise ValueError(f"move of bin {b}: bins are 0..{n_bins - 1}")
+        if not 0 <= w < workers:
+            raise ValueError(
+                f"move of bin {b} to worker {w}: workers are 0..{workers - 1}"
+            )
+        if b in seen:
+            raise ValueError(f"bin {b} moves twice in one migration")
+        seen.add(b)
     return moves
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 
 from repro import harness
-from repro.core.binning import bin_of_keys, hash_keys
+from repro.core.binning import bin_of_key, bin_of_keys, hash_keys
 from repro.core.operators import StateLogic
 from repro.core.strategies import MigrationRecord, initial_assignment
 from repro.latency.histogram import LatencyHistogram
@@ -114,7 +114,7 @@ class NexLogic(StateLogic):
         self._post: list[tuple[int, dict]] = []
 
     def bin_of(self, key: int) -> int:
-        return int(bin_of_keys(np.array([key]), self.q.n_bins)[0])
+        return bin_of_key(key, self.q.n_bins)
 
     def timer(self, t_ns: int, **cols) -> None:
         self._post.append((t_ns, payload(**cols, etype=[TIMER])))

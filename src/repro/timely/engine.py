@@ -306,10 +306,8 @@ class Ctx:
         channel.send(dst_worker, batch, deliver, sim.next_seq())
 
     def record_latency(self, arrivals: np.ndarray) -> None:
-        lat = self.now - arrivals
-        self.sim.latency.record(lat)
-        for w in self.sim.latency_windows:
-            w.record(lat)
+        sim = self.sim
+        sim.latency.record(self.now - arrivals, *sim.latency_windows)
 
 
 class Simulation:

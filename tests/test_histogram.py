@@ -72,3 +72,38 @@ class TestLatencyHistogram:
         row = percentile_table(h)
         assert set(row) == {"p90_ms", "p99_ms", "p9999_ms", "max_ms"}
         assert abs(row["max_ms"] - 2.0) < 1e-9
+
+
+class TestSharedIndexRecording:
+    """``record(values, *also)`` computes the bin index once and adds it to
+    every histogram; the result must equal separate ``record`` calls."""
+
+    BATCHES = [
+        np.array([1e-7, 5e-8, 0.0, 1e-9]),  # at or below the 100 ns floor
+        np.array([1e3, 2e3, 1e6]),  # at or above the 1000 s ceiling
+        np.array([]),
+        np.random.default_rng(3).lognormal(-6, 2, 500),
+        np.array([2.5e-3]),
+    ]
+
+    def test_matches_separate_records(self):
+        shared = [LatencyHistogram() for _ in range(3)]
+        separate = [LatencyHistogram() for _ in range(3)]
+        for i, vals in enumerate(self.BATCHES):
+            # a window that opens late sees only the later batches
+            open_ = shared[: 2 + (i >= 2)]
+            open_[0].record(vals, *open_[1:])
+            for h in separate[: len(open_)]:
+                h.record(vals)
+        for a, b in zip(shared, separate):
+            assert np.array_equal(a.counts, b.counts)
+            assert a.max == b.max
+            assert a.total == b.total
+        # the floor and overflow bins catch the out-of-range values
+        assert shared[0].counts[0] == 4 and shared[0].counts[-1] == 2
+
+    def test_empty_changes_nothing(self):
+        a, b = LatencyHistogram(), LatencyHistogram()
+        a.record(np.array([]), b)
+        assert a.total == b.total == 0 and a.max == b.max == 0.0
+        assert not a.counts.any() and not b.counts.any()

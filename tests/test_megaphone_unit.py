@@ -192,3 +192,56 @@ class TestPendingRecordsMigrate:
         assert r.owner_of_bin(0) == [1]
         assert r.logics[1].counts[0] == 1  # applied at the new owner
         assert r.total_counts() == 1
+
+
+class TestUninstallBin:
+    """``uninstall_bin`` bins all pending records in one call; the result
+    must equal a per-batch scan of the notificator."""
+
+    @staticmethod
+    def rows(entries):
+        return [
+            (t, b.data["k"].tolist(), None if b.arrivals is None else b.arrivals.tolist())
+            for t, b in entries
+        ]
+
+    def test_moves_exactly_the_bins_records(self):
+        r = Rig()
+        s0 = r.mo.s_op.instances[0]
+        width = DOMAIN // BINS  # range binning: bin = key // width
+        pending = [
+            (5 * MS, [0, 300, 1, 650, 2], [0.1, 0.2, 0.3, 0.4, 0.5]),  # mixed
+            (3 * MS, [width * 4, 5], [0.6, 0.7]),  # mixed, earlier time
+            (4 * MS, [7], None),  # one-row timer batches, bin 0 ...
+            (4 * MS, [width * 8], None),  # ... another bin
+            (5 * MS, [3], None),
+            (6 * MS, [width, width * 2], [0.8, 0.9]),  # nothing of bin 0
+        ]
+        batches = [
+            Batch(
+                time=t,
+                data={"k": np.array(keys, dtype=np.int64)},
+                arrivals=None if arr is None else np.array(arr),
+            )
+            for t, keys, arr in pending
+        ]
+        for b in batches:
+            s0.notif.notify_at(b.time, b)
+        # reference: scan each batch on its own, in (time, insertion) order
+        want_moved, want_kept = [], []
+        for _, _, b in sorted((b.time, i, b) for i, b in enumerate(batches)):
+            in_bin = b.data["k"] // width == 0
+            for dest, sel in ((want_moved, in_bin), (want_kept, ~in_bin)):
+                if sel.any():
+                    dest.append((b.time, b.take(lambda d, i: {"k": d["k"][i]}, sel)))
+
+        _, _, moved = s0.uninstall_bin(0)
+        assert self.rows(moved) == self.rows(want_moved)
+        assert self.rows(s0.notif.drain_all()) == self.rows(want_kept)
+        assert sorted(k for _, ks, _ in self.rows(moved) for k in ks) == [0, 1, 2, 3, 5, 7]
+
+    def test_empty_notificator(self):
+        r = Rig()
+        s0 = r.mo.s_op.instances[0]
+        _, _, moved = s0.uninstall_bin(0)
+        assert moved == [] and len(s0.notif) == 0

@@ -8,6 +8,9 @@ from repro.core.strategies import (
     plan_steps,
     rebalance_moves,
 )
+from repro.harness import resolve_moves
+from repro.microbench.count import run_count
+from repro.timely.cost import CostModel
 
 
 class TestAssignments:
@@ -92,3 +95,42 @@ class TestPlanSteps:
             moves, "optimized", assignment=initial_assignment(n_bins, W)
         )
         assert len(opt) < len(fluid)
+
+
+class TestMoveValidation:
+    N_BINS, W = 16, 4
+
+    @pytest.mark.parametrize(
+        "moves, match",
+        [
+            ([(0, 1), (16, 2)], "bin 16"),
+            ([(-1, 2)], "bin -1"),
+            ([(3, 4)], "worker 4"),
+            ([(3, -1)], "worker -1"),
+            ([(2, 1), (5, 0), (2, 3)], "bin 2 moves twice"),
+        ],
+    )
+    def test_bad_moves_raise(self, moves, match):
+        with pytest.raises(ValueError, match=match):
+            resolve_moves(moves, self.N_BINS, self.W)
+
+    def test_valid_moves_pass_through(self):
+        moves = [(0, 1), (15, 3), (7, 0)]
+        assert resolve_moves(moves, self.N_BINS, self.W) == moves
+        assert resolve_moves("imbalance", self.N_BINS, self.W) == migration_moves(
+            self.N_BINS, self.W
+        )
+
+    def test_harness_rejects_before_running(self):
+        with pytest.raises(ValueError, match="worker 9"):
+            run_count(
+                impl="megaphone",
+                cost=CostModel(workers=self.W, workers_per_process=2),
+                nominal_keys=1e6,
+                scaled_keys=1 << 10,
+                rate=20_000,
+                n_bins=self.N_BINS,
+                duration_s=0.2,
+                warmup_s=0.1,
+                migrations=[{"at_s": 0.1, "moves": [(1, 9)], "strategy": "fluid"}],
+            )
