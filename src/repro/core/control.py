@@ -63,9 +63,6 @@ class RoutingTable:
         assert i >= 0, f"lookup at {time} precedes first epoch {self.times[0]}"
         return self.tables[i].take(bins)
 
-    def current(self) -> np.ndarray:
-        return self.tables[-1]
-
     def compact(self, frontier: Optional[float]) -> None:
         """Drop epochs no record with time >= frontier could ever consult."""
         if frontier is None:

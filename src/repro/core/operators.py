@@ -76,43 +76,12 @@ class StateLogic:
         raise NotImplementedError
 
 
-def default_keys(data: Any) -> np.ndarray:
-    return data["k"]
-
-
-def default_take(data: Any, idx: np.ndarray) -> Any:
-    return {name: col[idx] for name, col in data.items()}
-
-
-def default_concat(datas: list[Any]) -> Any:
-    return {
-        name: np.concatenate([d[name] for d in datas]) for name in datas[0]
-    }
-
-
-def _merge_batches(batches: list[Batch], concat_fn) -> Batch:
-    """Concatenate same-timestamp batches into one (per-batch costs in the
-    simulator are per *apply*, so S consolidates its inbox per timestamp)."""
-    if len(batches) == 1:
-        return batches[0]
-    # timer/self-notification batches carry no arrivals; merge what exists
-    arrs = [b.arrivals for b in batches if b.arrivals is not None]
-    arr = np.concatenate(arrs) if arrs else None
-    return Batch(
-        time=batches[0].time,
-        data=concat_fn([b.data for b in batches]),
-        arrivals=arr,
-        nbytes=sum(b.nbytes for b in batches),
-    )
-
-
 @dataclass
 class _Migration:
     time: int
     bin: int
     src: int
     dst: int
-    sent: bool = False
 
 
 @dataclass
@@ -147,7 +116,7 @@ class _SharedRouting:
 
     def held_times(self) -> list[int]:
         held = [t for t, _, _ in self.pending[:1]]
-        held += [m.time for m in self.migrations if not m.sent]
+        held += [m.time for m in self.migrations]
         return held
 
 
@@ -201,10 +170,10 @@ class _FInstance(OperatorInstance):
                     self._route(ctx, b)
                 did = True
         # 4. initiate actionable migrations owned by this worker
-        for m in mo.shared.migrations:
-            if m.sent or m.src != self.worker:
-                continue
-            if not mo.probe.reached(m.time):
+        waiting = []
+        for m in shared.migrations:
+            if m.src != self.worker or not mo.probe.reached(m.time):
+                waiting.append(m)
                 continue
             s_inst = mo.s_op.instances[self.worker]
             payload, nbytes, pending = s_inst.uninstall_bin(m.bin)
@@ -218,15 +187,14 @@ class _FInstance(OperatorInstance):
                     nbytes=nbytes,
                 ),
             )
-            m.sent = True
             did = True
-        mo.shared.migrations = [m for m in mo.shared.migrations if not m.sent]
+        shared.migrations = waiting
         mo.shared.routing.compact(mo.data_ch.gate_frontier)
         return did
 
     def _route(self, ctx: Ctx, batch: Batch) -> None:
         mo = self.mo
-        keys = mo.key_fn(batch.data)
+        keys = batch.data["k"]
         bins = mo.bin_fn(keys)
         workers = mo.shared.routing.lookup(batch.time, bins)
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
@@ -238,7 +206,7 @@ class _FInstance(OperatorInstance):
         for w, n in enumerate(counts):
             if n:
                 lo, hi = hi, hi + n
-                sub = batch.take(mo.take_fn, order[lo:hi], per_rec_bytes * n)
+                sub = batch.take(order[lo:hi], per_rec_bytes * n)
                 ctx.send(mo.data_out_ch, w, sub)
 
 
@@ -256,6 +224,9 @@ class _StatefulInstance(OperatorInstance):
         t = self.notif.min_time()
         return [] if t is None else [t]
 
+    def _check(self, t: int, batch: Batch) -> None:
+        """Assert the Migration property for a batch about to apply."""
+
     def _enqueue(self, ch: Channel) -> bool:
         got = ch.take(self.worker)
         for db in got:
@@ -271,10 +242,8 @@ class _StatefulInstance(OperatorInstance):
         for t, batch in self.notif.ripe(gate):
             by_time.setdefault(t, []).append(batch)
         for t in sorted(by_time):
-            batch = _merge_batches(by_time[t], o.concat_fn)
-            if o.authority is not None:
-                keys = o.key_fn(batch.data)
-                o.authority.check(t, o.bin_fn(keys), self.worker)
+            batch = Batch.concat(by_time[t])
+            self._check(t, batch)
             self.logic.apply(t, batch.data)
             ctx.charge(len(batch) * o.c_record)
             if batch.arrivals is not None:
@@ -289,6 +258,10 @@ class _SInstance(_StatefulInstance):
     def __init__(self, owner: "MigratableOperator", worker: int):
         super().__init__(owner, worker)
         self._last_maintained_tick = -1
+
+    def _check(self, t: int, batch: Batch) -> None:
+        mo = self.owner
+        mo.authority.check(t, mo.bin_fn(batch.data["k"]), self.worker)
 
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
@@ -305,7 +278,7 @@ class _SInstance(_StatefulInstance):
         if not pending:
             return payload, nbytes, moved
         # one binning call over all pending records, split back per batch
-        keys = [mo.key_fn(batch.data) for _, batch in pending]
+        keys = [batch.data["k"] for _, batch in pending]
         in_bin = mo.bin_fn(np.concatenate(keys)) == b
         ends = np.cumsum([len(k) for k in keys]).tolist()
         for (t, batch), lo, hi in zip(pending, [0] + ends, ends):
@@ -313,10 +286,10 @@ class _SInstance(_StatefulInstance):
             if not mask.any():
                 keep.notify_at(t, batch)
                 continue
-            moved.append((t, batch.take(mo.take_fn, np.nonzero(mask)[0])))
+            moved.append((t, batch.take(np.nonzero(mask)[0])))
             rest = np.nonzero(~mask)[0]
             if len(rest):
-                keep.notify_at(t, batch.take(mo.take_fn, rest))
+                keep.notify_at(t, batch.take(rest))
         return payload, nbytes, moved
 
     def schedule(self, ctx: Ctx) -> bool:
@@ -373,22 +346,14 @@ class MigratableOperator:
         c_record: float,
         data_input: InputHandle,
         control_input: InputHandle,
-        key_fn: Callable[[Any], np.ndarray] = default_keys,
-        take_fn: Callable[[Any, np.ndarray], Any] = default_take,
-        concat_fn: Callable[[list[Any]], Any] = default_concat,
-        bin_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        authority: Optional[ConfigAuthority] = None,
+        bin_fn: Callable[[np.ndarray], np.ndarray],
+        authority: ConfigAuthority,
     ):
-        from repro.core.binning import bin_of_keys
-
         self.sim = sim
         self.n_bins = n_bins
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.key_fn = key_fn
-        self.take_fn = take_fn
-        self.concat_fn = concat_fn
-        self.bin_fn = bin_fn or (lambda keys: bin_of_keys(keys, n_bins))
+        self.bin_fn = bin_fn
         self.authority = authority
         self.shared = _SharedRouting(RoutingTable(n_bins, initial_assignment))
 
@@ -414,8 +379,6 @@ class NativeOperator:
     """Hand-partitioned baseline stateful operator: no bins, no control
     stream, no migration capability (the paper's "Native" rows)."""
 
-    authority = None  # no configuration to check records against
-
     def __init__(
         self,
         sim: Simulation,
@@ -424,12 +387,10 @@ class NativeOperator:
         logic_factory: Callable[[int], StateLogic],
         c_record: float,
         data_input: InputHandle,
-        concat_fn: Callable[[list[Any]], Any] = default_concat,
     ):
         self.sim = sim
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.concat_fn = concat_fn
         self.op = Operator(sim, f"{name}.native")
         self.data_ch = Channel(f"{name}.data_in", data_input, self.op)
         self.op.add_instances(lambda w: _NativeInstance(self, w))

@@ -123,7 +123,7 @@ class MigrationDriver:
         control_input: InputHandle,
         probe: Probe,
         *,
-        authority: Optional[ConfigAuthority] = None,
+        authority: ConfigAuthority,
     ):
         self.sim = sim
         self.control = control_input
@@ -184,8 +184,7 @@ class MigrationDriver:
             elif prev_done and rec.steps_issued < rec.steps_total:
                 step = self._steps[rec.steps_issued]
                 updates = [ControlUpdate(t_ns, b, w) for b, w in step]
-                if self.authority is not None:
-                    self.authority.register(updates)
+                self.authority.register(updates)
                 # worker 0's F consumes the control stream for every F instance
                 self.control.send(0, Batch(time=t_ns, data=updates, nbytes=64.0))
                 if rec.started_s is None:

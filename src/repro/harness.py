@@ -9,17 +9,12 @@ migration has completed and, optionally, every frontier has closed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.control import ConfigAuthority
-from repro.core.operators import (
-    MigratableOperator,
-    NativeOperator,
-    StateLogic,
-    default_take,
-)
+from repro.core.operators import MigratableOperator, NativeOperator, StateLogic
 from repro.core.strategies import (
     MigrationDriver,
     MigrationRecord,
@@ -32,7 +27,7 @@ from repro.timely.engine import Batch, InputHandle, Simulation
 # records arriving in one tick: (data, arrivals, dest). ``dest`` gives each
 # record's worker for input that is already exchanged by key, or is None to
 # spread the records over the tick's ingest workers.
-TickRecords = tuple[Any, np.ndarray, Optional[np.ndarray]]
+TickRecords = tuple[dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]
 LIMIT_S = 600.0  # simulated seconds to wait for migrations, and for the drain
 
 
@@ -83,8 +78,6 @@ def run(
     duration_s: float,
     steady_from_s: float,
     migrations: Optional[list[dict]] = None,
-    take_fn: Callable[[Any, np.ndarray], Any] = default_take,
-    check_authority: bool = True,
     completion_timeout_s: float = LIMIT_S,
     strict_completion: bool = True,
     drain: bool = True,
@@ -105,7 +98,7 @@ def run(
     driver = None
     if impl == "megaphone":
         control_in = InputHandle(sim, "control")
-        authority = ConfigAuthority(n_bins, assignment) if check_authority else None
+        authority = ConfigAuthority(n_bins, assignment)
         mo = MigratableOperator(
             sim,
             name,
@@ -115,7 +108,6 @@ def run(
             c_record=c_record,
             data_input=data_in,
             control_input=control_in,
-            take_fn=take_fn,
             bin_fn=bin_fn,
             authority=authority,
         )
@@ -162,7 +154,7 @@ def run(
             tick = Batch(time=t_ns, data=data, arrivals=arrivals)
             for w, idx in zip(targets, parts):
                 if len(idx):
-                    data_in.send(w, tick.take(take_fn, idx, record_nbytes * len(idx)))
+                    data_in.send(w, tick.take(idx, record_nbytes * len(idx)))
         data_in.advance_to(t_ns + tick_ns)
 
     sim.on_tick.insert(0, feed)

@@ -54,11 +54,6 @@ class LatencyHistogram:
             h.max = max(h.max, mx)
             h.total += arr.size
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        self.counts += other.counts
-        self.max = max(self.max, other.max)
-        self.total += other.total
-
     @staticmethod
     def _edge(idx: np.ndarray | int) -> np.ndarray | float:
         return 10.0 ** (_MIN_EXP + (np.asarray(idx) + 1) / (10 * _BINS_PER_OCTAVE))
@@ -71,15 +66,6 @@ class LatencyHistogram:
         cum = np.cumsum(self.counts)
         idx = int(np.searchsorted(cum, target))
         return float(min(self._edge(idx), self.max if self.max > 0 else np.inf))
-
-    def ccdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(latency_s, P[latency > x]) pairs for plotting/analysis."""
-        nz = np.nonzero(self.counts)[0]
-        if nz.size == 0:
-            return np.array([]), np.array([])
-        cum = np.cumsum(self.counts)
-        probs = 1.0 - cum / self.total
-        return self._edge(nz), probs[nz]
 
 
 def percentile_table(hist: LatencyHistogram) -> dict[str, float]:

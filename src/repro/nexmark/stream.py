@@ -239,10 +239,6 @@ def _codes(col: pd.Series, vocab: np.ndarray) -> np.ndarray:
     return col.map(lambda s: m.get(s, 0)).to_numpy(dtype=np.int64)
 
 
-def _take(data, idx):
-    return {f: data[f][idx] for f in FIELDS}
-
-
 def run_nexmark(
     *,
     query: str,
@@ -256,7 +252,6 @@ def run_nexmark(
     window_ms: int = 10_000,
     slide_ms: int = 2_000,
     state_scale: float = 1.0,
-    check_authority: bool = True,
 ) -> NexRun:
     """Replay a NEXMark query on the simulated runtime."""
     from repro.nexmark import queries_native as QN
@@ -309,7 +304,7 @@ def run_nexmark(
             return None
         cursor = hi
         dest = key_dest[lo:hi] if impl == "native" else None
-        return _take(stream, slice(lo, hi)), ts_s[lo:hi], dest
+        return {f: col[lo:hi] for f, col in stream.items()}, ts_s[lo:hi], dest
 
     hr = harness.run(
         sim,
@@ -325,8 +320,6 @@ def run_nexmark(
         duration_s=duration_s,
         steady_from_s=STEADY_FROM_S,
         migrations=migrations,
-        take_fn=_take,
-        check_authority=check_authority,
     )
     return NexRun(
         query=query,

@@ -46,7 +46,6 @@ class SparkMigratableCount:
         *,
         n_workers: int = 8,
         n_bins: int = 64,
-        checkpoint_every: int = 1,
     ):
         assert n_bins % n_workers == 0 or n_bins >= n_workers
         self.spark = spark
@@ -54,8 +53,6 @@ class SparkMigratableCount:
         self.n_bins = n_bins
         self.routing = np.arange(n_bins, dtype=np.int64) % n_workers
         self.state: Optional[DataFrame] = None
-        self.checkpoint_every = checkpoint_every
-        self.batches = 0
 
     # -- routing -----------------------------------------------------------
     def _routing_df(self) -> DataFrame:
@@ -128,10 +125,8 @@ class SparkMigratableCount:
             .agg(F.sum("cnt").alias("cnt"))
             .repartition(self.n_workers, "worker")
             .persist()
+            .localCheckpoint(eager=True)
         )
-        self.batches += 1
-        if self.batches % self.checkpoint_every == 0:
-            new_state = new_state.localCheckpoint(eager=True)
         state_rows = new_state.count()
         old = self.state
         self.state = new_state

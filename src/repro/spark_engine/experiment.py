@@ -9,8 +9,6 @@ batch — the Spark rendering of Figs 1/16.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from pyspark.sql import SparkSession
 
@@ -28,30 +26,23 @@ def migration_timeline(
     batch_records: int = 50_000,
     n_batches: int = 18,
     migrate_at_batch: int = 8,
-    batch_size: Optional[int] = None,
     seed: int = 0,
-    preload: bool = True,
 ) -> dict:
     """Run the timeline; returns batch metrics, summary and final counts.
 
-    ``preload`` loads one instance of every key in batch 0 (the paper's
-    §5.2 methodology), so state size — and hence per-step movement volume —
-    is comparable across strategies.
+    Batch 0 loads one instance of every key (the paper's §5.2 methodology),
+    so state size — and hence per-step movement volume — is comparable
+    across strategies.
     """
     rng = np.random.default_rng(seed)
     eng = SparkMigratableCount(spark, n_workers=n_workers, n_bins=n_bins)
     moves = migration_moves(n_bins, n_workers)
-    steps = plan_steps(
-        moves,
-        strategy,
-        batch_size=batch_size,
-        assignment=eng.routing.copy(),
-    )
+    steps = plan_steps(moves, strategy, assignment=eng.routing.copy())
     all_keys = []
     timeline = []
     step_i = 0
     for b in range(n_batches):
-        if b == 0 and preload:
+        if b == 0:
             keys = np.arange(n_keys, dtype=np.int64)
         else:
             keys = rng.integers(0, n_keys, batch_records)

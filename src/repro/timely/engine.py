@@ -37,6 +37,8 @@ import numpy as np
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
 
+PASSES = 2  # scheduling passes per tick
+
 
 @dataclass(eq=False)
 class Batch:
@@ -44,9 +46,10 @@ class Batch:
 
     All records in a batch share one logical timestamp ``time`` (the tick
     their event time falls in); ``arrivals`` carries each record's exact
-    arrival in simulated seconds for latency measurement. ``data`` is
-    workload-defined (dict of numpy arrays, pandas DataFrame, or state
-    payloads); ``nbytes`` is the modelled wire size.
+    arrival in simulated seconds for latency measurement. A record batch's
+    ``data`` is a dict of equal-length numpy columns with the routing key in
+    ``"k"``; control and state batches carry their own payloads. ``nbytes``
+    is the modelled wire size.
     """
 
     time: int
@@ -62,13 +65,30 @@ class Batch:
         except TypeError:
             return 1
 
-    def take(self, take_fn: Callable, idx, nbytes: float = 0.0) -> "Batch":
-        """The records at positions ``idx``, cut from ``data`` by ``take_fn``."""
+    def take(self, idx, nbytes: float = 0.0) -> "Batch":
+        """The records at positions ``idx``."""
         return Batch(
             time=self.time,
-            data=take_fn(self.data, idx),
+            data={name: col[idx] for name, col in self.data.items()},
             arrivals=None if self.arrivals is None else self.arrivals[idx],
             nbytes=nbytes,
+        )
+
+    @staticmethod
+    def concat(batches: list["Batch"]) -> "Batch":
+        """One batch of the records of same-timestamp ``batches``, in order."""
+        if len(batches) == 1:
+            return batches[0]
+        # timer batches carry no arrivals; merge what exists
+        arrs = [b.arrivals for b in batches if b.arrivals is not None]
+        return Batch(
+            time=batches[0].time,
+            data={
+                name: np.concatenate([b.data[name] for b in batches])
+                for name in batches[0].data
+            },
+            arrivals=np.concatenate(arrs) if arrs else None,
+            nbytes=sum(b.nbytes for b in batches),
         )
 
 
@@ -221,6 +241,11 @@ class InputHandle:
         self.output_channels: list[Channel] = []
         sim.inputs.append(self)
 
+    @property
+    def could_produce(self) -> Optional[int]:
+        """The source's frontier: its epoch (None once closed)."""
+        return self.epoch
+
     def send(self, dst_worker: int, batch: Batch) -> None:
         assert self.epoch is not None and batch.time >= self.epoch, (
             f"send at {batch.time} behind epoch {self.epoch} on {self.name}"
@@ -243,9 +268,6 @@ class Probe:
 
     def __init__(self, op: Operator):
         self.op = op
-
-    def frontier(self) -> Optional[float]:
-        return self.op.could_produce
 
     def reached(self, t: int) -> bool:
         """True iff nothing earlier than ``t`` can still appear at the output
@@ -313,13 +335,12 @@ class Ctx:
 class Simulation:
     """The simulated cluster and dataflow graph. Operators are added in
     topological order; the per-tick loop delivers messages, recomputes
-    frontiers, and schedules instances in graph order for a fixed number of
-    passes (two passes let a record traverse F then S within one tick)."""
+    frontiers, and schedules instances in graph order for ``PASSES`` passes
+    (two passes let a record traverse F then S within one tick)."""
 
-    def __init__(self, cost: Optional[CostModel] = None, passes: int = 2):
+    def __init__(self, cost: Optional[CostModel] = None):
         self.cost = cost or CostModel()
         self.workers = self.cost.workers
-        self.passes = passes
         self.now = 0.0
         self.worker_busy = np.zeros(self.workers)
         self.nics = [
@@ -346,31 +367,21 @@ class Simulation:
 
     # -- progress tracking -------------------------------------------------
     def recompute_frontiers(self) -> None:
-        """Propagate could-produce frontiers through the DAG (topo order)."""
-        for ch in self.channels:
-            src_f = (
-                ch.src.epoch
-                if isinstance(ch.src, InputHandle)
-                else ch.src.could_produce
-            )
-            ch.gate_frontier = frontier_min(src_f, ch.pending_min())
-            ch.arrive_frontier = frontier_min(src_f, ch.undelivered.min())
+        """Propagate could-produce frontiers through the DAG in one pass
+        (topological order): each operator's input channels take their
+        source's frontier, then the operator folds in its held times."""
         for op in self.operators:
-            candidates: list[Optional[float]] = [
-                ch.gate_frontier for ch in op.input_channels
-            ]
+            candidates: list[Optional[float]] = []
+            for ch in op.input_channels:
+                src_f = ch.src.could_produce
+                ch.gate_frontier = frontier_min(src_f, ch.pending_min())
+                ch.arrive_frontier = frontier_min(src_f, ch.undelivered.min())
+                candidates.append(ch.gate_frontier)
             for inst in op.instances:
                 held = inst.held_times()
                 if held:
                     candidates.append(min(held))
             op.could_produce = frontier_min(*candidates)
-            # refresh downstream gate views of channels sourced here (topo
-            # order makes this exact for a DAG)
-            for ch in op.output_channels:
-                ch.gate_frontier = frontier_min(op.could_produce, ch.pending_min())
-                ch.arrive_frontier = frontier_min(
-                    op.could_produce, ch.undelivered.min()
-                )
 
     # -- main loop ---------------------------------------------------------
     def step_tick(self) -> None:
@@ -379,7 +390,7 @@ class Simulation:
         self.now = t0
         for cb in self.on_tick:
             cb(self, t0)
-        for _ in range(self.passes):
+        for _ in range(PASSES):
             for ch in self.channels:
                 ch.deliver_due(t1)
             self.recompute_frontiers()

@@ -23,26 +23,30 @@ def cost():
 
 class TestOverheadShape:
     def test_row_schema(self):
-        row = overhead_row(
-            flavour="key",
-            impl="megaphone",
-            log_bins=8,
-            nominal_keys=64e6,
-            rate=500e3,
-            duration_s=1.0,
-            warmup_s=0.25,
-            cost=cost(),
-        )
-        assert set(row) == {
-            "experiment",
-            "p90_ms",
-            "p99_ms",
-            "p9999_ms",
-            "max_ms",
-            "records",
-        }
-        assert row["experiment"] == "8"
-        assert 0 < row["p90_ms"] <= row["max_ms"]
+        # key-count, hash-count (Fig 13b) and a domain beyond the cache
+        # (Fig 15b)
+        for flavour, nominal_keys in [("key", 64e6), ("hash", 64e6), ("key", 8192e6)]:
+            row = overhead_row(
+                flavour=flavour,
+                impl="megaphone",
+                log_bins=8,
+                nominal_keys=nominal_keys,
+                rate=500e3,
+                duration_s=1.0,
+                warmup_s=0.25,
+                cost=cost(),
+            )
+            assert set(row) == {
+                "experiment",
+                "p90_ms",
+                "p99_ms",
+                "p9999_ms",
+                "max_ms",
+                "records",
+            }
+            assert row["experiment"] == "8"
+            assert 0 < row["p90_ms"] <= row["max_ms"]
+            assert row["records"] > 0
 
     def test_huge_bin_count_blows_up(self):
         small = overhead_row(

@@ -34,27 +34,10 @@ class TestLatencyHistogram:
         h.record(np.array([1e-3]))
         assert h.percentile(99.99) <= h.max
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(np.array([1e-3] * 10))
-        b.record(np.array([1e-1] * 10))
-        a.merge(b)
-        assert a.total == 20
-        assert a.max == 1e-1
-
     def test_record_vectorised_total(self):
         h = LatencyHistogram()
         h.record(np.linspace(1e-4, 1e-2, 500))
         assert h.total == 500
-
-    def test_ccdf_shape(self):
-        h = LatencyHistogram()
-        h.record(np.random.default_rng(1).uniform(1e-4, 1e-2, 2000))
-        x, p = h.ccdf()
-        assert len(x) == len(p)
-        assert np.all(np.diff(x) > 0)
-        # CCDF decreasing
-        assert np.all(np.diff(p) <= 1e-12)
 
     def test_accuracy_against_numpy(self):
         h = LatencyHistogram()

@@ -233,7 +233,7 @@ class TestUninstallBin:
             in_bin = b.data["k"] // width == 0
             for dest, sel in ((want_moved, in_bin), (want_kept, ~in_bin)):
                 if sel.any():
-                    dest.append((b.time, b.take(lambda d, i: {"k": d["k"][i]}, sel)))
+                    dest.append((b.time, b.take(sel)))
 
         _, _, moved = s0.uninstall_bin(0)
         assert self.rows(moved) == self.rows(want_moved)

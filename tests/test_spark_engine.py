@@ -107,8 +107,10 @@ class TestMovementAccounting:
         moved_bins = {b for b, _ in moves}
         bins = bin_of_keys(np.unique(keys), 16)
         expected_rows = int(np.isin(bins, list(moved_bins)).sum())
-        m = eng.process_batch(rng.integers(0, 2_000, 100), moves=moves)
+        more = rng.integers(0, 2_000, 100)
+        m = eng.process_batch(more, moves=moves)
         assert m["moved_rows"] == expected_rows
+        assert m["state_rows"] == len(np.unique(np.concatenate([keys, more])))
 
     def test_all_at_once_moves_everything_in_one_batch(self, spark):
         res = migration_timeline(
