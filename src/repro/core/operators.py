@@ -245,7 +245,7 @@ class _StatefulInstance(OperatorInstance):
             batch = Batch.concat(by_time[t])
             self._check(t, batch)
             self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * o.c_record)
+            ctx.charge(len(batch.data["k"]) * o.c_record)
             if batch.arrivals is not None:
                 ctx.record_latency(batch.arrivals)
             for pt, pdata in self.logic.take_postdated():

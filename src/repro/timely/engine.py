@@ -57,14 +57,6 @@ class Batch:
     arrivals: Optional[np.ndarray] = None
     nbytes: float = 0.0
 
-    def __len__(self) -> int:
-        if self.arrivals is not None:
-            return len(self.arrivals)
-        try:
-            return len(self.data)
-        except TypeError:
-            return 1
-
     def take(self, idx, nbytes: float = 0.0) -> "Batch":
         """The records at positions ``idx``."""
         return Batch(

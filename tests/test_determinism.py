@@ -126,7 +126,7 @@ EXPECTED = {
     },
     "q4-megaphone-batched": {
         "tick_index": 602,
-        "total_cpu": 0.028340902685060662,
+        "total_cpu": 0.017562442685060544,
         "latency": "34bb8ce85a6e948e",
         "steady": "88bce63841988b6a",
         "migrations": [
@@ -136,7 +136,7 @@ EXPECTED = {
     },
     "q4-native": {
         "tick_index": 602,
-        "total_cpu": 0.003166800000000106,
+        "total_cpu": 0.0018096000000000607,
         "latency": "a779191eb0b60595",
         "steady": "97a876edbd2284ac",
         "migrations": [],

@@ -11,7 +11,7 @@ from repro.core.operators import MigratableOperator
 from repro.core.strategies import initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.engine import Batch, Ctx, InputHandle, Simulation
 
 W, BINS, DOMAIN = 4, 16, 1024
 MS = 1_000_000  # ns per tick at tick=1ms
@@ -245,3 +245,30 @@ class TestUninstallBin:
         s0 = r.mo.s_op.instances[0]
         _, _, moved = s0.uninstall_bin(0)
         assert moved == [] and len(s0.notif) == 0
+
+
+class TestApplyCharge:
+    """S charges ``c_record`` per applied row, whether the row is data or a
+    post-dated timer row (timer batches carry no arrivals)."""
+
+    @staticmethod
+    def rows(k, arrivals):
+        # k rows of bin 0, which worker 0 owns, with a second column
+        return Batch(
+            time=0,
+            data={"k": np.arange(k, dtype=np.int64), "v": np.zeros(k, dtype=np.int64)},
+            arrivals=np.zeros(k) if arrivals else None,
+        )
+
+    def test_timer_rows_charged_per_row(self):
+        for batches in (
+            [self.rows(5, arrivals=False)],  # timer-only
+            [self.rows(2, arrivals=True), self.rows(3, arrivals=False)],  # mixed
+        ):
+            r = Rig()  # jitter off
+            s0 = r.mo.s_op.instances[0]
+            for b in batches:
+                s0.notif.notify_at(b.time, b)
+            ctx = Ctx(r.sim, 0, 0.0)
+            s0._apply_ripe(ctx, None)
+            assert ctx.now == pytest.approx(5 * r.mo.c_record)
